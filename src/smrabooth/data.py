@@ -107,13 +107,16 @@ def _inside(shape, u, v, half):
         return u * u + v * v <= half * half
     if shape == "square":
         return (np.abs(u) <= half) & (np.abs(v) <= half)
-    # upright isoceles triangle: apex up, via three half-plane tests
+    # upright equilateral triangle inscribed in radius `half`, apex up, via
+    # three half-plane tests. In image coordinates (v points down) the
+    # vertices apex -> lower left -> lower right wind so that the interior
+    # lies on the non-negative side of each edge's cross product.
     ang = np.array([np.pi / 2, np.pi / 2 + 2 * np.pi / 3, np.pi / 2 + 4 * np.pi / 3])
     vx, vy = half * np.cos(ang), -half * np.sin(ang)
     ok = np.ones_like(u, dtype=bool)
     for i in range(3):
         ex, ey = vx[(i + 1) % 3] - vx[i], vy[(i + 1) % 3] - vy[i]
-        ok &= (u - vx[i]) * ey - (v - vy[i]) * ex <= 0
+        ok &= (u - vx[i]) * ey - (v - vy[i]) * ex >= 0
     return ok
 
 

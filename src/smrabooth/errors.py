@@ -23,6 +23,11 @@ class NonFiniteActivation(RuntimeFailure):
     """A forward pass produced NaN/Inf activations."""
 
 
+class CorruptArtifact(ValidationFailure):
+    """A stored tensor file is malformed: bad magic, unsupported version,
+    truncated header or payload, or trailing bytes."""
+
+
 # -- toyvae -------------------------------------------------------------------
 
 class BadFrameCount(ValidationFailure):

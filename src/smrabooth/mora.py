@@ -3,20 +3,24 @@ flow. The flow operator is a fixed differentiable computation graph (exactly
 `iters` Jacobi updates from zero flow), so motion losses backpropagate
 through the flow estimator, the codec decode, and the one-step latent
 recovery into the model parameters.
+
+All frame pairs of a video are solved together as one batch of [n-1, H, W]
+tensors. The replicate-padded neighbour average is a single tape node
+(numerics.stencil) with a hand-written adjoint, so a Jacobi update adds 11
+tape nodes whatever the number of pairs. The windowed path gathers its
+pairs from that one solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import numerics as nm
 from .errors import ShapeError, TooFewFrames
 from .flowmatch import recover_z0
-from .numerics import Tensor, absval, concatenate, stack
-from .toyvae import (TEMPORAL_GROUP, WINDOW_DISCARD, LatentTensor, VideoTensor,
-                     decode_frames, window_offsets)
+from .numerics import Tensor, absval, concatenate, stack, stencil, take_rows
+from .toyvae import LatentTensor, VideoTensor, decode_frames, window_spans
 
 
 @dataclass
@@ -59,108 +63,113 @@ class FlowField:
         return self.flows.shape[0]
 
 
-def _luminance(frame, cfg: FlowConfig):
+def _luminance(frames, cfg: FlowConfig):
     r, g, b = cfg.grayscale
-    return (frame[:, :, 0] * r + frame[:, :, 1] * g
-            + frame[:, :, 2] * b) * cfg.luma_scale
+    return (frames[..., 0] * r + frames[..., 1] * g
+            + frames[..., 2] * b) * cfg.luma_scale
 
 
-def _pad_x(img):
-    return concatenate([img[:, 0:1], img, img[:, -1:]], axis=1)
+# Classic Horn-Schunck weighted 8-neighbourhood (1/12 corners, 1/6 edges) as
+# a numerics.stencil tap table: (weight, ((dy, dx), ...)) over the
+# replicate-padded image, so (1, 1) is the centre pixel.
+AVERAGE_TAPS = (
+    (1.0 / 12.0, ((0, 0), (0, 2), (2, 0), (2, 2))),
+    (1.0 / 6.0, ((0, 1), (2, 1), (1, 0), (1, 2))),
+)
 
 
-def _pad_y(img):
-    return concatenate([img[0:1, :], img, img[-1:, :]], axis=0)
-
-
+# The central differences run once per solve, outside the Jacobi loop, and
+# stay plain tape ops with concatenated replicate pads. Their border gradient
+# terms then reach the luminance in the same order as in a one-pair graph, so
+# float32 gradients are bit-identical to per-pair solves (training depends on
+# it); a fused node would reorder those sums.
 def _cdx(img):
-    p = _pad_x(img)
-    return (p[:, 2:] - p[:, :-2]) * 0.5
+    p = concatenate([img[..., 0:1], img, img[..., -1:]], axis=-1)
+    return (p[..., 2:] - p[..., :-2]) * 0.5
 
 
 def _cdy(img):
-    p = _pad_y(img)
-    return (p[2:, :] - p[:-2, :]) * 0.5
+    p = concatenate([img[..., 0:1, :], img, img[..., -1:, :]], axis=-2)
+    return (p[..., 2:, :] - p[..., :-2, :]) * 0.5
 
 
-def _neighbor_avg(img):
-    # classic Horn-Schunck weighted 8-neighborhood (1/6 edges, 1/12 corners)
-    p = _pad_y(_pad_x(img))
-    corners = (p[:-2, :-2] + p[:-2, 2:] + p[2:, :-2] + p[2:, 2:]) * (1.0 / 12.0)
-    edges = (p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:]) * (1.0 / 6.0)
-    return corners + edges
+def _as_tensor(x):
+    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float32))
 
 
 def flow(a, b, cfg: FlowConfig = None):
-    """Horn-Schunck displacement field from frame a to frame b, [H,W,2].
-
-    Spatial derivatives are frame-averaged central differences with
-    replicate padding; the temporal derivative is b - a. Exactly cfg.iters
-    Jacobi updates run from zero flow, so identical frames give exactly
-    zero flow and the whole graph is differentiable end to end.
-    """
-    cfg = cfg or FlowConfig()
-    a = a if isinstance(a, Tensor) else Tensor(np.asarray(a, dtype=np.float32))
-    b = b if isinstance(b, Tensor) else Tensor(np.asarray(b, dtype=np.float32))
+    """Horn-Schunck displacement field from frame a to frame b, [H,W,2]:
+    the one-pair case of flow_stack."""
+    a, b = _as_tensor(a), _as_tensor(b)
     if tuple(a.shape) != tuple(b.shape):
         raise ShapeError(f"frame shapes differ: {tuple(a.shape)} vs {tuple(b.shape)}")
     if a.ndim != 3 or a.shape[2] != 3:
         raise ShapeError(f"frames must be [H,W,3], got {tuple(a.shape)}")
-    lum_a, lum_b = _luminance(a, cfg), _luminance(b, cfg)
+    pair = flow_stack(stack([a, b], axis=0), cfg)
+    return pair.flows.reshape(tuple(a.shape[:2]) + (2,))
+
+
+def _frames_of(x):
+    return x.frames if isinstance(x, VideoTensor) else _as_tensor(x)
+
+
+def flow_stack(x, cfg: FlowConfig = None) -> FlowField:
+    """Flows across all adjacent frames of x [n,H,W,3]: slice k is the
+    Horn-Schunck displacement field from frame k to frame k+1.
+
+    All n-1 pairs run as one batched solve over [n-1,H,W] tensors. Every
+    operation is elementwise across pairs and the per-pair graph keeps its
+    shape, so each slice and its float32 gradient are bit-identical to
+    solving the pair alone. Spatial derivatives are frame-averaged central
+    differences with replicate padding; the temporal derivative is
+    x[k+1] - x[k]. Exactly cfg.iters Jacobi updates run from zero flow, so
+    identical frames give exactly zero flow and the whole graph is
+    differentiable end to end.
+    """
+    cfg = cfg or FlowConfig()
+    frames = _frames_of(x)
+    if frames.ndim != 4 or frames.shape[3] != 3:
+        raise ShapeError(f"frames must be [n,H,W,3], got {tuple(frames.shape)}")
+    n = frames.shape[0]
+    if n < 2:
+        raise TooFewFrames(f"need at least 2 frames, got {n}")
+    # luminance per pair side, not per frame, for the same reason as _cdx
+    lum_a, lum_b = _luminance(frames[:-1], cfg), _luminance(frames[1:], cfg)
     ix = (_cdx(lum_a) + _cdx(lum_b)) * 0.5
     iy = (_cdy(lum_a) + _cdy(lum_b)) * 0.5
     it = lum_b - lum_a
     den = ix * ix + iy * iy + cfg.alpha ** 2
-    u = Tensor(np.zeros(lum_a.shape, dtype=lum_a.dtype))
-    v = Tensor(np.zeros(lum_a.shape, dtype=lum_a.dtype))
+    u = Tensor(np.zeros(it.shape, dtype=it.dtype))
+    v = Tensor(np.zeros(it.shape, dtype=it.dtype))
     for _ in range(cfg.iters):
-        ubar, vbar = _neighbor_avg(u), _neighbor_avg(v)
+        ubar, vbar = stencil(u, AVERAGE_TAPS), stencil(v, AVERAGE_TAPS)
         rate = (ix * ubar + iy * vbar + it) / den
         u = ubar - ix * rate
         v = vbar - iy * rate
-    return stack([u, v], axis=-1)
-
-
-def _frames_of(x):
-    if isinstance(x, VideoTensor):
-        return x.frames
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float32))
-
-
-def flow_stack(x, cfg: FlowConfig = None) -> FlowField:
-    """Flows across all adjacent frames: slice k is flow(x[k], x[k+1])."""
-    frames = _frames_of(x)
-    n = frames.shape[0]
-    if n < 2:
-        raise TooFewFrames(f"need at least 2 frames, got {n}")
-    slices = [flow(frames[k], frames[k + 1], cfg) for k in range(n - 1)]
-    return FlowField(stack(slices, axis=0))
+    return FlowField(stack([u, v], axis=-1))
 
 
 def denoised_flow_stack(z_t, u, t, cfg: FlowConfig = None, windowed=False,
                         window=6, stride=2) -> FlowField:
     """Flows of the one-step-denoised video: recover z0 = z_t - t u, decode
-    to pixels, and run the flow stack. In windowed mode each kept block is
-    decoded and differentiated separately; flows never cross block
-    boundaries. The decode path stays on the tape, so this is trainable.
+    to pixels, and run the flow stack. The decode path stays on the tape, so
+    this is trainable.
+
+    In windowed mode the result holds, window by window, the pairs inside
+    each window's kept frames (toyvae.window_spans); pairs never cross block
+    boundaries and overlapped pairs appear once per window. The codec is
+    temporally block-local, so these are gathered from one full decode and
+    one batched solve; the gather's adjoint sums the duplicated pairs.
     """
     z_t = z_t.latents if isinstance(z_t, LatentTensor) else z_t
     u = u.latents if isinstance(u, LatentTensor) else u
     z0_hat = recover_z0(z_t, u, t)
     if not windowed:
-        frames = decode_frames(z0_hat)
-        return flow_stack(frames, cfg)
-    slices, pairs = [], []
-    for off in window_offsets(z0_hat.shape[0], window, stride):
-        frames = decode_frames(z0_hat[off:off + window])
-        start = 0
-        if off != 0:
-            frames = frames[WINDOW_DISCARD:]
-            start = TEMPORAL_GROUP * off + WINDOW_DISCARD
-        for k in range(frames.shape[0] - 1):
-            slices.append(flow(frames[k], frames[k + 1], cfg))
-            pairs.append(start + k)
-    return FlowField(stack(slices, axis=0), pair_index=pairs)
+        return flow_stack(decode_frames(z0_hat), cfg)
+    pairs = [k for span in window_spans(z0_hat.shape[0], window, stride)
+             for k in span.frames[:-1]]
+    flows = flow_stack(decode_frames(z0_hat), cfg).flows
+    return FlowField(take_rows(flows, pairs), pair_index=pairs)
 
 
 def _flows_of(f):

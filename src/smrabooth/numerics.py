@@ -9,18 +9,19 @@ because central differences are unreliable at 32-bit precision.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFiniteProbe, ShapeError
+from .errors import CorruptArtifact, NonFiniteProbe, ShapeError
 
 __all__ = [
     "Tensor", "ParamStore", "GradCheckReport", "grad_check", "softmax_rows",
     "no_grad", "tensor", "constant", "concatenate", "stack", "take_rows",
-    "exp", "tanh", "sqrt", "absval", "clamp_min", "gelu", "softmax",
-    "matmul", "make_rng", "write_stns", "read_stns", "sha256_file",
+    "stencil", "exp", "tanh", "sqrt", "absval", "clamp_min", "gelu",
+    "softmax", "matmul", "make_rng", "write_stns", "read_stns", "sha256_file",
 ]
 
 _GRAD_ENABLED = True
@@ -391,6 +392,48 @@ def take_rows(table, ids):
     return _node(out, (table,), (vjp,))
 
 
+def stencil(x, groups):
+    """Linear 3x3 stencil over the last two axes as a single tape node.
+
+    x is replicate-padded by one pixel on both axes; window (dy, dx) of the
+    padded array is the input shifted so that output [i, j] reads padded
+    [i + dy, j + dx]. groups is a sequence of (weight, taps) with taps a
+    sequence of (dy, dx); the result is the sum over groups of weight times
+    the sum of the taps' windows, added in the order given so the rounding
+    is fixed by the caller. The adjoint scatters the weighted gradient back
+    onto each window, then folds the pad rows and columns onto the border
+    pixels they replicate.
+    """
+    x = _wrap(x)
+    if x.ndim < 2:
+        raise ShapeError(f"stencil needs at least 2 axes, got shape {x.shape}")
+    h, w = x.shape[-2:]
+    cast = x.dtype.type
+    p = np.pad(x.data, [(0, 0)] * (x.ndim - 2) + [(1, 1), (1, 1)], mode="edge")
+    out = None
+    for weight, taps in groups:
+        acc = None
+        for dy, dx in taps:
+            win = p[..., dy:dy + h, dx:dx + w]
+            acc = win if acc is None else acc + win
+        acc = acc * cast(weight)
+        out = acc if out is None else out + acc
+
+    def vjp(g):
+        gp = np.zeros(p.shape, dtype=g.dtype)
+        for weight, taps in groups:
+            gw = g * cast(weight)
+            for dy, dx in taps:
+                gp[..., dy:dy + h, dx:dx + w] += gw
+        gp[..., 1, :] += gp[..., 0, :]
+        gp[..., -2, :] += gp[..., -1, :]
+        gp[..., :, 1] += gp[..., :, 0]
+        gp[..., :, -2] += gp[..., :, -1]
+        return np.ascontiguousarray(gp[..., 1:-1, 1:-1])
+
+    return _node(out, (x,), (vjp,))
+
+
 def softmax_rows(m):
     """Stable row softmax of a rank-2 matrix; rows sum to 1."""
     m = _wrap(m)
@@ -560,19 +603,30 @@ def write_stns(path, array):
 
 
 def read_stns(path):
+    """Inverse of write_stns. Raises CorruptArtifact unless the file is
+    exactly one well-formed STNS record."""
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:4] != _STNS_MAGIC:
-        raise ValueError(f"{path}: bad magic {raw[:4]!r}")
+        raise CorruptArtifact(f"{path}: bad magic {raw[:4]!r}")
+    if len(raw) < 6:
+        raise CorruptArtifact(f"{path}: truncated header")
     version, ndim = struct.unpack_from("<BB", raw, 4)
     if version != 1:
-        raise ValueError(f"{path}: unsupported STNS version {version}")
-    dims = struct.unpack_from(f"<{ndim}I", raw, 6)
+        raise CorruptArtifact(f"{path}: unsupported STNS version {version}")
     off = 6 + 4 * ndim
-    count = int(np.prod(dims)) if ndim else 1
+    if len(raw) < off:
+        raise CorruptArtifact(f"{path}: truncated header")
+    dims = struct.unpack_from(f"<{ndim}I", raw, 6)
+    count = math.prod(dims)
+    expected = off + 4 * count
+    if len(raw) < expected:
+        raise CorruptArtifact(
+            f"{path}: truncated payload ({len(raw) - off} of {4 * count} bytes)")
+    if len(raw) > expected:
+        raise CorruptArtifact(
+            f"{path}: {len(raw) - expected} trailing bytes after the payload")
     data = np.frombuffer(raw, dtype="<f4", count=count, offset=off)
-    if data.size != count:
-        raise ValueError(f"{path}: truncated payload")
     return data.reshape(dims).astype(np.float32)
 
 

@@ -13,6 +13,7 @@ motion-alignment path relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -161,6 +162,29 @@ def window_offsets(n_latents, window, stride):
 WINDOW_DISCARD = 5
 
 
+class WindowSpan(NamedTuple):
+    """One sliding window: its first latent frame, how many leading decoded
+    frames it drops, and the absolute pixel frames it keeps."""
+
+    offset: int
+    discard: int
+    frames: range
+
+
+def window_spans(n_latents, window, stride):
+    """Kept-frame plan of the sliding-window decode. A window of w latents
+    decodes 1 + 4(w-1) pixel frames; the first window keeps all of them,
+    every later one drops its first WINDOW_DISCARD. Raises WindowTooLarge
+    like window_offsets."""
+    n_decoded = pixel_frames(window)
+    spans = []
+    for off in window_offsets(n_latents, window, stride):
+        drop = WINDOW_DISCARD if off else 0
+        first = TEMPORAL_GROUP * off + drop
+        spans.append(WindowSpan(off, drop, range(first, first + n_decoded - drop)))
+    return spans
+
+
 @dataclass
 class WindowBlock:
     """Contiguous run of kept pixel frames [n, H, W, C] from one window.
@@ -180,13 +204,11 @@ def decode_windowed(z: LatentTensor, window: int = 6, stride: int = 2):
     first 5 and keeps 16. Kept frames are bit-identical to the full decode at
     the same absolute index (the codec is temporally block-local)."""
     blocks = []
-    for off in window_offsets(z.n_latents, window, stride):
-        frames = decode_frames(z.latents[off:off + window])
-        if off == 0:
-            kept, start = frames, 0
-        else:
-            kept, start = frames[WINDOW_DISCARD:], TEMPORAL_GROUP * off + WINDOW_DISCARD
-        blocks.append(WindowBlock(start, Tensor(np.clip(kept.data, 0.0, 1.0))))
+    for span in window_spans(z.n_latents, window, stride):
+        frames = decode_frames(z.latents[span.offset:span.offset + window])
+        kept = frames.data[span.discard:]
+        blocks.append(WindowBlock(span.frames.start,
+                                  Tensor(np.clip(kept, 0.0, 1.0))))
     return blocks
 
 

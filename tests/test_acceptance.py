@@ -18,6 +18,8 @@ from smrabooth import toyvae as tv
 from smrabooth.numerics import ParamStore, Tensor
 from smrabooth.toyvae import VideoTensor
 
+pytestmark = pytest.mark.acceptance
+
 # reduced desk scale for the end-to-end criteria
 H = W = 16
 FRAMES = 9

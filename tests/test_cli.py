@@ -1,12 +1,15 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from smrabooth import cli
 from smrabooth.errors import BadConfig
-from smrabooth.numerics import read_stns
+import smrabooth
+from smrabooth.numerics import read_stns, write_stns
 
 # micro config: every CLI path must run in seconds, not minutes
 FAST = {
@@ -190,3 +193,18 @@ def test_cli_validation_exit_codes(tmp_path):
     assert cli.run(["infer", "--config", None or str(bad),
                     "--checkpoint", "/nonexistent", "--out",
                     str(tmp_path / "y")]) == 1
+
+
+def test_eval_truncated_video_exits_1_without_traceback(tmp_path, fast_config):
+    video = tmp_path / "video.stns"
+    write_stns(video, np.zeros((5, 16, 16, 3), np.float32))
+    video.write_bytes(video.read_bytes()[:-7])
+    src = os.path.dirname(os.path.dirname(smrabooth.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "smrabooth.cli", "eval", "--config", fast_config,
+         "--video", str(video), "--out", str(tmp_path / "ev")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert "truncated payload" in proc.stderr
+    assert "Traceback" not in proc.stderr

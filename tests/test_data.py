@@ -53,6 +53,24 @@ def test_circle_footprint_area():
     assert abs(s.mask.sum() - np.pi * r * r) < 2.0
 
 
+def test_triangle_footprint_area_and_orientation():
+    half = 8.0
+    vv, uu = np.mgrid[-12:13, -12:13].astype(np.float64)
+    mask = data._inside("triangle", uu, vv, half)
+    area = 3.0 * np.sqrt(3.0) / 4.0 * half * half
+    assert abs(mask.sum() - area) < 0.1 * area
+    assert mask[12, 12]                       # centroid (u, v) = (0, 0)
+    rows = np.nonzero(mask.any(axis=1))[0] - 12
+    # apex on top: v points down, the apex sits at v = -half and the base
+    # edge at v = +half/2 (pixels exactly on an edge may fall either side)
+    assert -half <= rows.min() <= -half + 1
+    assert half / 2 - 1 <= rows.max() <= half / 2
+    widths = mask.sum(axis=1)[rows + 12]
+    assert widths[0] < widths[-1]
+    s = data.gen_subject(data.SubjectSpec(shape="triangle", size=0.5), 32, 32, 0)
+    assert abs(s.mask.sum() - area) < 0.1 * area
+
+
 def test_square_footprint_area():
     spec = data.SubjectSpec(shape="square", size=0.25)
     s = data.gen_subject(spec, 32, 32, seed=1)

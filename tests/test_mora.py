@@ -63,6 +63,152 @@ def test_flow_stack_matches_per_pair_calls():
         assert np.array_equal(stack.flows.data[k], single)
 
 
+def _reference_flow(a, b, cfg):
+    """Plain-numpy Horn-Schunck for one pair, no tape, in the solver's
+    operation order; constants are cast to the frame dtype as the tape's
+    scalar operands are."""
+    c = a.dtype.type
+    r, g, bl = cfg.grayscale
+
+    def lum(f):
+        return (f[:, :, 0] * c(r) + f[:, :, 1] * c(g) + f[:, :, 2] * c(bl)) \
+            * c(cfg.luma_scale)
+
+    def cdx(img):
+        p = np.concatenate([img[:, :1], img, img[:, -1:]], axis=1)
+        return (p[:, 2:] - p[:, :-2]) * c(0.5)
+
+    def cdy(img):
+        p = np.concatenate([img[:1], img, img[-1:]], axis=0)
+        return (p[2:] - p[:-2]) * c(0.5)
+
+    def avg(img):
+        p = np.pad(img, 1, mode="edge")
+        corners = (p[:-2, :-2] + p[:-2, 2:] + p[2:, :-2] + p[2:, 2:]) * c(1.0 / 12.0)
+        edges = (p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:]) * c(1.0 / 6.0)
+        return corners + edges
+
+    la, lb = lum(a), lum(b)
+    ix = (cdx(la) + cdx(lb)) * c(0.5)
+    iy = (cdy(la) + cdy(lb)) * c(0.5)
+    it = lb - la
+    den = ix * ix + iy * iy + c(cfg.alpha ** 2)
+    u, v = np.zeros_like(la), np.zeros_like(la)
+    for _ in range(cfg.iters):
+        ubar, vbar = avg(u), avg(v)
+        rate = (ix * ubar + iy * vbar + it) / den
+        u = ubar - ix * rate
+        v = vbar - iy * rate
+    return np.stack([u, v], axis=-1)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_flow_stack_matches_numpy_reference_exactly(dtype):
+    cfg = mora.FlowConfig(iters=7)
+    rng = np.random.default_rng(11)
+    video = np.concatenate([
+        np.stack([smooth_texture(12, 20, s) for s in range(3)]),
+        rng.random((3, 12, 20, 3)),
+    ]).astype(dtype)
+    got = mora.flow_stack(Tensor(video), cfg).flows.data
+    assert got.dtype == dtype
+    ref = np.stack([_reference_flow(video[k], video[k + 1], cfg)
+                    for k in range(video.shape[0] - 1)])
+    assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("op", [
+    lambda x: nm.stencil(x, mora.AVERAGE_TAPS), mora._cdx, mora._cdy,
+], ids=["neighbor_average", "cdx", "cdy"])
+@pytest.mark.parametrize("shape", [(3, 4, 6), (2, 1, 3)])
+def test_spatial_operators_grad_check(op, shape):
+    rng = np.random.default_rng(12)
+    weights = Tensor(rng.normal(size=shape))
+    probe = ParamStore()
+    probe.add("x", rng.normal(size=shape))
+    report = nm.grad_check(lambda ps: (op(ps["x"]) * weights).sum(), probe,
+                           eps=1e-5, tol=1e-7)
+    assert report.passed, report.max_rel_err
+
+
+def _reference_flow_tape(a, b, cfg):
+    """One pair on the tape as solved before batching: replicate pads are
+    concatenated slices and the neighbour average sums 8 window slices. Its
+    float32 gradient is the oracle for the batched solver's."""
+    r, g, bl = cfg.grayscale
+
+    def lum(f):
+        return (f[:, :, 0] * r + f[:, :, 1] * g + f[:, :, 2] * bl) * cfg.luma_scale
+
+    def pad_x(img):
+        return nm.concatenate([img[:, 0:1], img, img[:, -1:]], axis=1)
+
+    def pad_y(img):
+        return nm.concatenate([img[0:1, :], img, img[-1:, :]], axis=0)
+
+    def avg(img):
+        p = pad_y(pad_x(img))
+        corners = (p[:-2, :-2] + p[:-2, 2:] + p[2:, :-2] + p[2:, 2:]) * (1.0 / 12.0)
+        edges = (p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:]) * (1.0 / 6.0)
+        return corners + edges
+
+    la, lb = lum(a), lum(b)
+    pxa, pxb, pya, pyb = pad_x(la), pad_x(lb), pad_y(la), pad_y(lb)
+    ix = ((pxa[:, 2:] - pxa[:, :-2]) * 0.5 + (pxb[:, 2:] - pxb[:, :-2]) * 0.5) * 0.5
+    iy = ((pya[2:] - pya[:-2]) * 0.5 + (pyb[2:] - pyb[:-2]) * 0.5) * 0.5
+    it = lb - la
+    den = ix * ix + iy * iy + cfg.alpha ** 2
+    u = Tensor(np.zeros(la.shape, dtype=la.dtype))
+    v = Tensor(np.zeros(la.shape, dtype=la.dtype))
+    for _ in range(cfg.iters):
+        ubar, vbar = avg(u), avg(v)
+        rate = (ix * ubar + iy * vbar + it) / den
+        u = ubar - ix * rate
+        v = vbar - iy * rate
+    return nm.stack([u, v], axis=-1)
+
+
+def test_flow_stack_gradient_bit_identical_to_per_pair_tape():
+    # float32 training sees exactly the gradient of the per-pair solve
+    cfg = mora.FlowConfig(iters=5)
+    rng = np.random.default_rng(15)
+    video = rng.random((5, 8, 12, 3)).astype(np.float32)
+    weights = rng.normal(size=(4, 8, 12, 2)).astype(np.float32)
+    frames = Tensor(video, requires_grad=True)
+    (mora.flow_stack(frames, cfg).flows * Tensor(weights)).sum().backward()
+    expected = np.zeros_like(video)
+    for k in range(4):
+        a = Tensor(video[k], requires_grad=True)
+        b = Tensor(video[k + 1], requires_grad=True)
+        (_reference_flow_tape(a, b, cfg) * Tensor(weights[k])).sum().backward()
+        expected[k] += a.grad
+        expected[k + 1] += b.grad
+    assert np.array_equal(frames.grad, expected)
+
+
+def _tape_nodes(root):
+    seen, todo = {id(root)}, [root]
+    while todo:
+        for p in todo.pop()._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                todo.append(p)
+    return len(seen)
+
+
+def test_flow_stack_tape_size_independent_of_pair_count():
+    rng = np.random.default_rng(13)
+
+    def count(n_frames, iters):
+        frames = Tensor(rng.random((n_frames, 8, 8, 3)).astype(np.float32),
+                        requires_grad=True)
+        return _tape_nodes(
+            mora.flow_stack(frames, mora.FlowConfig(iters=iters)).flows.sum())
+
+    assert count(3, 20) == count(17, 20)
+    assert count(17, 20) - count(17, 10) == 11 * 10   # 11 nodes per update
+
+
 def test_flow_stack_static_video_zero():
     f = smooth_texture(16, 16, 1)
     video = np.repeat(f[None], 5, axis=0)
@@ -139,6 +285,31 @@ def test_windowed_pairs_never_cross_blocks():
     full = mora.denoised_flow_stack(z_t, u, 0.5, cfg, windowed=False)
     for row, pair in enumerate(win.pair_index):
         assert np.array_equal(win.flows.data[row], full.flows.data[pair])
+
+
+def test_windowed_mora_loss_grad_check():
+    # 17 frames, window 4, stride 1: the two windows overlap, so the gather
+    # duplicates pairs 9..11 and its adjoint must sum them
+    cfg = mora.FlowConfig(iters=2)
+    rng = np.random.default_rng(14)
+    z0 = tv.encode_frames(Tensor(rng.random((17, 4, 4, 3)))).data
+    z1 = rng.standard_normal(z0.shape)
+    t = 0.5
+    z_t = Tensor((1.0 - t) * z0 + t * z1)
+    ref = mora.flow_stack(Tensor(rng.random((17, 4, 4, 3))), cfg)
+    probe = ParamStore()
+    probe.add("u", z1 - z0 + rng.normal(0, 0.05, z0.shape))
+
+    def loss_fn(ps):
+        gen = mora.denoised_flow_stack(z_t, ps["u"], t, cfg, windowed=True,
+                                       window=4, stride=1)
+        return mora.mora_loss(mora.align_reference(ref, gen), gen)
+
+    pairs = mora.denoised_flow_stack(z_t, probe["u"], t, cfg, windowed=True,
+                                     window=4, stride=1).pair_index
+    assert pairs == list(range(12)) + list(range(9, 16))
+    report = nm.grad_check(loss_fn, probe, eps=1e-6)
+    assert report.passed, report.max_rel_err
 
 
 def test_align_reference_gathers_pairs():

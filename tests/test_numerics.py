@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from smrabooth import numerics as nm
-from smrabooth.errors import NonFiniteProbe, ShapeError
+from smrabooth.errors import CorruptArtifact, NonFiniteProbe, ShapeError
 from smrabooth.numerics import ParamStore, Tensor
 
 
@@ -170,7 +170,23 @@ def test_stns_roundtrip_exact(tmp_path):
 def test_stns_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.stns"
     path.write_bytes(b"NOPE" + bytes(10))
-    with pytest.raises(ValueError):
+    with pytest.raises(CorruptArtifact):
+        nm.read_stns(path)
+
+
+@pytest.mark.parametrize("mangle, message", [
+    (lambda raw: raw[:4] + bytes([2]) + raw[5:], "unsupported STNS version"),
+    (lambda raw: raw[:5], "truncated header"),
+    (lambda raw: raw[:9], "truncated header"),
+    (lambda raw: raw[:-1], "truncated payload"),
+    (lambda raw: raw[:18], "truncated payload"),
+    (lambda raw: raw + bytes(4), "trailing bytes"),
+])
+def test_stns_rejects_corrupt_files(tmp_path, mangle, message):
+    path = tmp_path / "t.stns"
+    nm.write_stns(path, np.ones((3, 4, 5), np.float32))
+    path.write_bytes(mangle(path.read_bytes()))
+    with pytest.raises(CorruptArtifact, match=message):
         nm.read_stns(path)
 
 
